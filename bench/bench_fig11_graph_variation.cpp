@@ -48,6 +48,10 @@ runSide(const graph::PanGraph &graph,
         ? 0.0 : static_cast<double>(total_bases) /
                 static_cast<double>(traces.size());
 
+    // gssw keeps its DP matrices for traceback; so do both runs.
+    align::GsswOptions options;
+    options.keepMatrices = true;
+
     // Timed, uninstrumented run.
     core::NullProbe null_probe;
     core::WallTimer timer;
@@ -55,7 +59,7 @@ runSide(const graph::PanGraph &graph,
         const auto result = align::gsswAlign(
             trace.subgraph, trace.query,
             align::ScoreParams::mappingDefaults(),
-            align::GsswOptions{}, null_probe);
+            options, null_probe);
         out.cells += result.cellsComputed;
     }
     out.milliseconds = timer.milliseconds();
@@ -65,7 +69,7 @@ runSide(const graph::PanGraph &graph,
         for (const auto &trace : traces) {
             align::gsswAlign(trace.subgraph, trace.query,
                              align::ScoreParams::mappingDefaults(),
-                             align::GsswOptions{}, probe);
+                             options, probe);
         }
     });
     out.topdown = c.topdown;

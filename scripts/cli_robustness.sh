@@ -181,7 +181,7 @@ done
 expect_fail "index with injected flush failure" \
     env PGB_FAULT=io.flush:1 \
     "$PGB" index "$WORK/d.gfa" -o "$WORK/failed.pgbi"
-if [ -e "$WORK/failed.pgbi" ] || [ -e "$WORK/failed.pgbi.tmp" ]; then
+if compgen -G "$WORK/failed.pgbi*" >/dev/null; then
     echo "FAIL: failed index left a partial artifact" >&2
     failures=$((failures + 1))
 fi
@@ -310,7 +310,7 @@ expect_fail "serve with corrupt manifest" \
 expect_fail "shard with injected flush failure" \
     env PGB_FAULT=io.flush:1 \
     "$PGB" shard "$WORK/d.gfa" -o "$WORK/failed.pgbs"
-if [ -e "$WORK/failed.pgbs" ] || [ -e "$WORK/failed.pgbs.tmp" ]; then
+if compgen -G "$WORK/failed.pgbs*" >/dev/null; then
     echo "FAIL: failed shard build left a partial manifest" >&2
     failures=$((failures + 1))
 fi

@@ -13,6 +13,39 @@ gsswWorkspace()
     return core::threadScratch<GsswWorkspace>();
 }
 
+void
+GsswWorkspace::beginGraph(const graph::LocalGraph &graph)
+{
+    const auto n_nodes = static_cast<uint32_t>(graph.nodeCount());
+    slotOf.resize(n_nodes);
+    pendingChildren.resize(n_nodes);
+    for (uint32_t node = 0; node < n_nodes; ++node) {
+        pendingChildren[node] =
+            static_cast<uint32_t>(graph.successors(node).size());
+    }
+    freeSlots.resize(states.size());
+    for (size_t s = 0; s < states.size(); ++s)
+        freeSlots[s] = static_cast<uint32_t>(states.size() - 1 - s);
+}
+
+uint32_t
+GsswWorkspace::acquire()
+{
+    if (freeSlots.empty()) {
+        states.emplace_back();
+        return static_cast<uint32_t>(states.size() - 1);
+    }
+    const uint32_t slot = freeSlots.back();
+    freeSlots.pop_back();
+    return slot;
+}
+
+void
+GsswWorkspace::release(uint32_t slot)
+{
+    freeSlots.push_back(slot);
+}
+
 } // namespace detail
 
 GsswResult

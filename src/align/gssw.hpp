@@ -9,20 +9,23 @@
  * the kernel alternate between dense SIMD regions and indirect graph
  * accesses (paper Figure 4a).
  *
- * When GsswOptions::keepMatrices is set (the default, matching the
- * gssw library which retains all matrices for traceback), every column
- * is also retained in a per-node DP matrix. On instrumented runs that
- * matrix is row-major, written through the strided "swizzle" stores
- * that are the memory bottleneck the paper's §6.1 case study
- * attributes GSSW's extra memory stalls to. Timed runs keep the
- * kernel's native striped columns instead, streamed out with
- * non-temporal stores — the swizzle disappears from the hot loop and
- * moves into gsswTraceback's index math (see GsswMatrixLayout).
- * Switching keepMatrices off implements the further optimization §6.1
- * proposes. The matrices skip their zero-fill (every cell is written
- * back), and per-alignment temporaries — the striped profile and the
- * per-node final states — live in a thread-local workspace, so
- * repeated alignments do not touch malloc.
+ * Per-node DP matrices are kept only when the caller asks for them
+ * (GsswOptions::keepMatrices, off by default): gsswTraceback and the
+ * §6.1 characterization read them, a score-only caller such as the
+ * mapper does not. Kept on instrumented runs, the matrix is row-major,
+ * written through the strided "swizzle" stores that the paper's §6.1
+ * case study attributes GSSW's extra memory stalls to. Timed runs keep
+ * the kernel's native striped columns instead, copied out with plain
+ * vector stores — the swizzle leaves the hot loop and moves into
+ * gsswTraceback's index math (see GsswMatrixLayout). The matrices skip
+ * their zero-fill (every cell is written back).
+ *
+ * A node's final (H, E) column is live only until its last child has
+ * read it. The per-thread workspace keeps these states in a small pool:
+ * a node takes over the buffer of a parent it is the last consumer of,
+ * and hands its own back once its last child is done, so the pool grows
+ * with the width of the graph, not its node count, and repeated
+ * alignments do not touch malloc.
  *
  * Like sswAlign, the uninstrumented (NullProbe) entry dispatches to
  * the 16-lane AVX2 kernel when the runtime level allows; instrumented
@@ -33,6 +36,7 @@
 #ifndef PGB_ALIGN_GSSW_HPP
 #define PGB_ALIGN_GSSW_HPP
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <type_traits>
@@ -51,8 +55,12 @@ namespace pgb::align {
 /** GSSW configuration. */
 struct GsswOptions
 {
-    /** Retain full per-node DP matrices (traceback realism, §6.1). */
-    bool keepMatrices = true;
+    /**
+     * Retain full per-node DP matrices, as gssw does for traceback
+     * (§6.1). Set it when the matrices are read: gsswTraceback and the
+     * characterization runs do, score-only callers do not.
+     */
+    bool keepMatrices = false;
 };
 
 /**
@@ -104,10 +112,27 @@ namespace detail {
 struct GsswWorkspace
 {
     StripedProfile profile;
-    /** Final (H, E) striped state per node, consumed by children. */
-    std::vector<StripedState> finalStates;
+    /**
+     * Pool of final (H, E) striped states. A node's state holds one
+     * slot from the node's processing until its last child has read
+     * it; `freeSlots` lists the slots no live node holds (most recently
+     * released last, so the next node reuses a warm buffer).
+     */
+    std::vector<StripedState> states;
+    std::vector<uint32_t> freeSlots;
+    /** Pool slot of each processed node's final state. */
+    std::vector<uint32_t> slotOf;
+    /** Per node: successors not yet processed. */
+    std::vector<uint32_t> pendingChildren;
     /** Striped H of the best column so far (query-end recovery). */
     std::vector<int16_t> bestH;
+
+    /** Free every slot and load @p graph's successor counts. */
+    void beginGraph(const graph::LocalGraph &graph);
+    /** A free slot, growing the pool when none is left. */
+    uint32_t acquire();
+    /** Return @p slot to the pool. */
+    void release(uint32_t slot);
 };
 
 /** The calling thread's GSSW workspace. */
@@ -139,31 +164,51 @@ gsswAlignT(const graph::LocalGraph &graph, std::span<const uint8_t> query,
     if (options.keepMatrices)
         result.matrices.resize(n_nodes);
 
-    // Final (H, E) striped state of each processed node, indexed by
-    // node id. Reused allocations from the workspace.
-    if (ws.finalStates.size() < n_nodes)
-        ws.finalStates.resize(n_nodes);
-    std::vector<StripedState> &final_states = ws.finalStates;
-
+    ws.beginGraph(graph);
     for (uint32_t node : graph.topoOrder()) {
-        StripedState &state = final_states[node];
         const auto preds = graph.predecessors(node);
+        uint32_t slot = 0;
         if (preds.empty()) {
-            state.reset(profile.segLen(), profile.lanes());
+            slot = ws.acquire();
+            ws.states[slot].reset(profile.segLen(), profile.lanes());
         } else {
             // Node initialization: element-wise max over parents' final
-            // columns. These are the indirect graph accesses.
-            probe.load(&preds[0], 4);
-            state.assignFrom(final_states[preds[0]]);
-            probe.op(core::OpKind::kMemory,
-                     static_cast<uint64_t>(state.h.size() / kLanes));
-            for (size_t p = 1; p < preds.size(); ++p) {
-                probe.load(&preds[p], 4);
-                state.mergeMax(final_states[preds[p]]);
-                probe.op(core::OpKind::kVector,
-                         static_cast<uint64_t>(state.h.size() / kLanes));
+            // columns. These are the indirect graph accesses. The node
+            // takes over the buffer of a parent it is the last consumer
+            // of (mergeMax is exact, so which one does not matter);
+            // only when every parent still has other children is the
+            // first parent's column copied into a fresh slot.
+            auto owner = std::find_if(
+                preds.begin(), preds.end(),
+                [&](uint32_t p) { return ws.pendingChildren[p] == 1; });
+            if (owner != preds.end()) {
+                probe.load(&*owner, 4);
+                slot = ws.slotOf[*owner];
+            } else {
+                owner = preds.begin();
+                probe.load(&*owner, 4);
+                slot = ws.acquire();
+                ws.states[slot].assignFrom(ws.states[ws.slotOf[*owner]]);
+                probe.op(core::OpKind::kMemory,
+                         static_cast<uint64_t>(ws.states[slot].h.size() /
+                                               kLanes));
+            }
+            StripedState &state = ws.states[slot];
+            for (auto p = preds.begin(); p != preds.end(); ++p) {
+                if (p != owner) {
+                    probe.load(&*p, 4);
+                    state.mergeMax(ws.states[ws.slotOf[*p]]);
+                    probe.op(core::OpKind::kVector,
+                             static_cast<uint64_t>(state.h.size() /
+                                                   kLanes));
+                }
+                if (--ws.pendingChildren[*p] == 0 &&
+                    ws.slotOf[*p] != slot)
+                    ws.release(ws.slotOf[*p]);
             }
         }
+        ws.slotOf[node] = slot;
+        StripedState &state = ws.states[slot];
 
         const auto &bases = graph.nodeSeq(node);
         const size_t len = bases.size();
@@ -209,6 +254,9 @@ gsswAlignT(const graph::LocalGraph &graph, std::span<const uint8_t> query,
                     ws.bestH.assign(state.h.begin(), state.h.end());
             }
         }
+        // A sink's column has no reader.
+        if (ws.pendingChildren[node] == 0)
+            ws.release(slot);
     }
     if (result.best.score > 0) {
         const size_t sw =

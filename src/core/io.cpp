@@ -1,8 +1,14 @@
 #include "core/io.hpp"
 
+#include <atomic>
 #include <cerrno>
+#include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <ios>
+
+#include <fcntl.h>
+#include <unistd.h>
 
 #include "core/fault.hpp"
 #include "core/logging.hpp"
@@ -57,6 +63,48 @@ CheckedWriter::finish()
     file_.close();
     if (file_.fail())
         fatal("closing '", path_, "' failed: ", errnoReason());
+}
+
+void
+atomicReplace(const std::string &path,
+              const std::function<void(std::ostream &)> &write)
+{
+    // An exclusive create of `path.tmp.<pid>.<n>`, retried on a name
+    // left behind by an earlier process: unique like mkstemp's, but
+    // created with the umask's mode, so the renamed file gets the
+    // permissions a plain open would have given it.
+    static std::atomic<uint64_t> serial{0};
+    std::string tmp_path;
+    int fd = -1;
+    while (fd < 0) {
+        tmp_path = path + ".tmp." + std::to_string(::getpid()) + "." +
+                   std::to_string(serial.fetch_add(1));
+        fd = ::open(tmp_path.c_str(),
+                    O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0666);
+        if (fd < 0 && errno != EEXIST) {
+            fatal("cannot create a temp file next to '", path,
+                  "': ", std::strerror(errno));
+        }
+    }
+    try {
+        CheckedWriter out(tmp_path);
+        write(out.stream());
+        out.finish();
+        if (::fsync(fd) != 0)
+            fatal("fsync of '", tmp_path, "' failed: ",
+                  std::strerror(errno));
+    } catch (...) {
+        ::close(fd);
+        std::remove(tmp_path.c_str());
+        throw;
+    }
+    ::close(fd);
+    if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
+        const int err = errno;
+        std::remove(tmp_path.c_str());
+        fatal(path, ": cannot rename temp file into place: ",
+              std::strerror(err));
+    }
 }
 
 } // namespace pgb::core

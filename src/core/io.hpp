@@ -10,12 +10,18 @@
  * explicit flush in finish(), so every writer in the suite either
  * produces a complete file or a catchable error. The "io.flush" fault
  * site injects a write failure at finish() for tests.
+ *
+ * atomicReplace() builds on it for files that readers may open at any
+ * time (artifacts, manifests): the new contents appear all at once or
+ * not at all, even with several writers racing on one path.
  */
 
 #ifndef PGB_CORE_IO_HPP
 #define PGB_CORE_IO_HPP
 
 #include <fstream>
+#include <functional>
+#include <ostream>
 #include <string>
 
 namespace pgb::core {
@@ -49,6 +55,18 @@ class CheckedWriter
     std::ofstream file_;
     bool finished_ = false;
 };
+
+/**
+ * Replace @p path with the bytes @p write puts into the stream it is
+ * given. They are staged in a temp file of a unique name created
+ * exclusively next to @p path, checked (CheckedWriter::finish), fsynced,
+ * and only then renamed over @p path. Concurrent writers of one path
+ * each stage their own file, so the survivor is always one complete
+ * write. If anything fails, @p path is untouched, the temp file is
+ * removed, and the error propagates.
+ */
+void atomicReplace(const std::string &path,
+                   const std::function<void(std::ostream &)> &write);
 
 } // namespace pgb::core
 

@@ -374,14 +374,9 @@ Seq2GraphMapper::mapOne(const seq::Sequence &read,
         switch (config_.profile) {
           case ToolProfile::kVgMap:
           case ToolProfile::kVgGiraffe: {
-            align::GsswOptions options;
-            // giraffe's extension alignment avoids full traceback
-            // matrices; vg map keeps them.
-            options.keepMatrices =
-                config_.profile == ToolProfile::kVgMap;
+            // Only the score is read, so no DP matrices are kept.
             const auto result = align::gsswAlign(
-                sub, query, align::ScoreParams::mappingDefaults(),
-                options);
+                sub, query, align::ScoreParams::mappingDefaults());
             score = result.best.score;
             node = task.seedHandle.node();
             break;

@@ -79,10 +79,10 @@ struct MapperConfig
 
     /**
      * Per-tool defaults reflecting each tool's accuracy/performance
-     * trade-off (paper §2.1): vg map aligns many candidates with full
-     * matrices; giraffe extends a single haplotype-filtered candidate
-     * cheaply; GraphAligner aligns one cluster but with the expensive
-     * full-width bit-vector DP.
+     * trade-off (paper §2.1): vg map aligns many candidates; giraffe
+     * extends a single haplotype-filtered candidate cheaply;
+     * GraphAligner aligns one cluster but with the expensive full-width
+     * bit-vector DP.
      */
     static MapperConfig forTool(ToolProfile tool);
 };

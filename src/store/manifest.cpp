@@ -405,29 +405,14 @@ ShardManifest::save(const std::string &manifest_path) const
     }
     const std::string bytes = body.str();
 
-    const std::string tmp_path = manifest_path + ".tmp";
-    try {
-        core::CheckedWriter out(tmp_path);
-        out.stream().write(bytes.data(),
-                           static_cast<std::streamsize>(bytes.size()));
+    core::atomicReplace(manifest_path, [&](std::ostream &out) {
+        out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
         const std::string trailer =
             "checksum " + hex16(fnv1a64(bytes.data(), bytes.size())) +
             "\n";
-        out.stream().write(trailer.data(),
-                           static_cast<std::streamsize>(
-                               trailer.size()));
-        out.finish();
-    } catch (...) {
-        std::remove(tmp_path.c_str());
-        throw;
-    }
-    if (std::rename(tmp_path.c_str(), manifest_path.c_str()) != 0) {
-        const int err = errno;
-        std::remove(tmp_path.c_str());
-        fatal(manifest_path,
-              ": cannot rename temp manifest into place: ",
-              std::strerror(err));
-    }
+        out.write(trailer.data(),
+                  static_cast<std::streamsize>(trailer.size()));
+    });
     obsManifestWrites.add();
 }
 

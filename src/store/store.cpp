@@ -313,17 +313,14 @@ writeArtifact(const std::string &path, const graph::PanGraph &graph,
 
     // ---- Checked write into a temp file, then atomic rename: a
     // failed or interrupted write never leaves a partial `.pgbi`.
-    const std::string tmp_path = path + ".tmp";
-    try {
-        core::CheckedWriter out(tmp_path);
+    core::atomicReplace(path, [&](std::ostream &out) {
         auto put = [&](const void *data, size_t bytes) {
-            out.stream().write(static_cast<const char *>(data),
-                               static_cast<std::streamsize>(bytes));
+            out.write(static_cast<const char *>(data),
+                      static_cast<std::streamsize>(bytes));
         };
         auto pad_to = [&](size_t target) {
             static const char zeros[kSectionAlign] = {};
-            const auto at =
-                static_cast<size_t>(out.stream().tellp());
+            const auto at = static_cast<size_t>(out.tellp());
             if (at < target)
                 put(zeros, target - at);
         };
@@ -334,17 +331,7 @@ writeArtifact(const std::string &path, const graph::PanGraph &graph,
             put(sections[s].bytes.data(), sections[s].bytes.size());
         }
         pad_to(header.fileBytes);
-        out.finish();
-    } catch (...) {
-        std::remove(tmp_path.c_str());
-        throw;
-    }
-    if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
-        const int err = errno;
-        std::remove(tmp_path.c_str());
-        fatal(path, ": cannot rename temp artifact into place: ",
-              std::strerror(err));
-    }
+    });
     obsWrites.add();
 }
 

@@ -179,6 +179,9 @@ TEST(Ssw, HandlesNBasesAsMismatch)
 
 // ----------------------------------------------------------- GSSW
 
+/** Options for runs whose DP matrices the test reads. */
+const GsswOptions keep{.keepMatrices = true};
+
 /** Single-node graph must reproduce plain SSW. */
 TEST(Gssw, SingleNodeEqualsSsw)
 {
@@ -318,7 +321,7 @@ TEST(Gssw, MatrixLastColumnConsistentWithScore)
     g.finalize();
     const auto query = seq::encodeString("GTAC");
     const auto result = gsswAlign(g, query,
-                                  ScoreParams::mappingDefaults());
+                                  ScoreParams::mappingDefaults(), keep);
     int16_t best = 0;
     for (int16_t h : result.matrices[0])
         best = std::max(best, h);
@@ -396,7 +399,7 @@ TEST(GsswTraceback, PerfectMatchIsAllEquals)
     g.finalize();
     const auto query = seq::encodeString("GTTTA");
     const ScoreParams params = ScoreParams::mappingDefaults();
-    const auto result = gsswAlign(g, query, params);
+    const auto result = gsswAlign(g, query, params, keep);
     const auto alignment = gsswTraceback(g, query, params, result);
     ASSERT_EQ(alignment.cigar.size(), 1u);
     EXPECT_EQ(alignment.cigar[0].op, '=');
@@ -426,7 +429,7 @@ TEST(GsswTraceback, RescoresToOptimalOnRandomDags)
         }
         g.finalize();
         const auto query = randomBases(rng, 10 + rng.below(60));
-        const auto result = gsswAlign(g, query, params);
+        const auto result = gsswAlign(g, query, params, keep);
         if (result.best.score == 0)
             continue;
         const auto alignment = gsswTraceback(g, query, params, result);
@@ -458,7 +461,7 @@ TEST(GsswTraceback, RecoversIndels)
     auto query = seq::encodeString(
         "ACGTACGTACACGTACGTACGGTTGGAACCGGTTGGAACC");
     query.erase(query.begin() + 20, query.begin() + 23);
-    const auto result = gsswAlign(g, query, params);
+    const auto result = gsswAlign(g, query, params, keep);
     const auto alignment = gsswTraceback(g, query, params, result);
     bool has_deletion = false;
     for (const auto &entry : alignment.cigar)

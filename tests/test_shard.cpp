@@ -29,6 +29,7 @@
 #include "store/manifest.hpp"
 #include "store/shard_build.hpp"
 #include "synth/pangenome_sim.hpp"
+#include "temp_dir.hpp"
 
 namespace {
 
@@ -134,7 +135,7 @@ shardInto(const graph::PanGraph &graph, const std::string &stem,
     params.seeder = seeder;
     params.targetShardMb = target_mb;
     params.threads = 4;
-    const std::string path = testing::TempDir() + stem + ".pgbs";
+    const std::string path = pgb::test::processTempDir() + stem + ".pgbs";
     return store::buildShardSet(graph, params, path);
 }
 
@@ -258,7 +259,7 @@ TEST(Shard, PathlessGraphRefusesToShard)
 {
     graph::PanGraph pathless;
     pathless.addNode(seq::Sequence("", "ACGTACGTACGTACGT"));
-    const std::string path = testing::TempDir() + "pathless.pgbs";
+    const std::string path = pgb::test::processTempDir() + "pathless.pgbs";
     try {
         store::buildShardSet(pathless, {}, path);
         FAIL() << "expected FatalError";
@@ -333,7 +334,7 @@ TEST(Shard, MemShardedMatchesMonolithAcrossComponents)
 /**
  * The golden fixture from test_golden.cpp, reproduced bit-exactly
  * (same configs, seeds, and read names), so the sharded digests can be
- * compared against the same checked-in tests/golden/*.md5 files the
+ * compared against the same checked-in tests/golden/<name>.md5 files the
  * monolithic path pins.
  */
 struct GoldenFixture

@@ -4,15 +4,21 @@
  * lane-exact property tests of every compiled backend against the
  * VScalar ground truth (via the simdOpsTables() function-pointer
  * view), bit-identical kernel results across PGB_SIMD levels, the
- * inter-sequence batch kernel against per-job sswAlign, and the int16
- * saturation clamp with its align.score_saturated counter.
+ * inter-sequence batch kernel against per-job sswAlign, GSSW's
+ * recycled node states against the per-cell scalar reference on DAG
+ * shapes that stress them, and the int16 saturation clamp with its
+ * align.score_saturated counter.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <span>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "align/dispatch.hpp"
@@ -248,6 +254,224 @@ TEST(SimdDispatch, GsswBitIdenticalAcrossLevels)
             EXPECT_EQ(hits[i].nodeOffset, hits[0].nodeOffset);
         }
     }
+}
+
+// ------------------------------------ GSSW with recycled node states
+
+/** Edges of a DAG whose ids already run in a topological order. */
+using EdgeList = std::vector<std::pair<uint32_t, uint32_t>>;
+
+/** Random DAG over @p n_nodes nodes of 1..@p max_len bases. */
+LocalGraph
+buildDag(Rng &rng, size_t n_nodes, const EdgeList &edges, size_t max_len)
+{
+    LocalGraph g;
+    for (size_t v = 0; v < n_nodes; ++v)
+        g.addNode(randomBases(rng, 1 + rng.below(max_len)));
+    for (const auto &[from, to] : edges)
+        g.addEdge(from, to);
+    g.finalize();
+    return g;
+}
+
+/**
+ * A query that really aligns: the spelling of a random walk from a
+ * source, with ~5% substitutions and random flanks.
+ */
+std::vector<uint8_t>
+walkQuery(Rng &rng, const LocalGraph &g, size_t max_len)
+{
+    std::vector<uint32_t> sources;
+    for (uint32_t v = 0; v < g.nodeCount(); ++v) {
+        if (g.predecessors(v).empty())
+            sources.push_back(v);
+    }
+    uint32_t node = sources[rng.below(sources.size())];
+    std::vector<uint8_t> query = randomBases(rng, rng.below(12));
+    while (query.size() < max_len) {
+        for (uint8_t base : g.nodeSeq(node)) {
+            query.push_back(rng.chance(0.05)
+                                ? static_cast<uint8_t>(rng.below(4))
+                                : base);
+        }
+        const auto next = g.successors(node);
+        if (next.empty())
+            break;
+        node = next[rng.below(next.size())];
+    }
+    if (query.size() > max_len)
+        query.resize(max_len);
+    const auto tail = randomBases(rng, rng.below(12));
+    query.insert(query.end(), tail.begin(), tail.end());
+    return query;
+}
+
+/** Source -> @p k parallel nodes -> joint -> @p k nodes -> sink. */
+EdgeList
+fanEdges(uint32_t k)
+{
+    EdgeList edges;
+    const uint32_t joint = k + 1;
+    for (uint32_t i = 1; i <= k; ++i) {
+        edges.emplace_back(0, i);
+        edges.emplace_back(i, joint);
+        edges.emplace_back(joint, joint + i);
+        edges.emplace_back(joint + i, 2 * k + 2);
+    }
+    return edges;
+}
+
+/**
+ * Complete bipartite layers: every node has every node of the layer
+ * before as a parent, so all but the last child of a layer find each
+ * parent still owed to other children.
+ */
+EdgeList
+layeredEdges(uint32_t layers, uint32_t width)
+{
+    EdgeList edges;
+    for (uint32_t l = 0; l + 1 < layers; ++l) {
+        for (uint32_t a = 0; a < width; ++a) {
+            for (uint32_t b = 0; b < width; ++b)
+                edges.emplace_back(l * width + a, (l + 1) * width + b);
+        }
+    }
+    return edges;
+}
+
+/** Random forward edges; about a quarter of the nodes are sources. */
+EdgeList
+randomEdges(Rng &rng, uint32_t n_nodes)
+{
+    EdgeList edges;
+    for (uint32_t v = 1; v < n_nodes; ++v) {
+        if (rng.chance(0.25))
+            continue;
+        const uint32_t parents = 1 + static_cast<uint32_t>(rng.below(3));
+        for (uint32_t p = 0; p < parents; ++p)
+            edges.emplace_back(static_cast<uint32_t>(rng.below(v)), v);
+    }
+    return edges;
+}
+
+/**
+ * gsswAlign at every SIMD level, with and without kept matrices, must
+ * agree with the per-cell scalar reference on @p g; the kept matrices
+ * must still trace back to an alignment of the best score.
+ */
+void
+expectMatchesScalar(const LocalGraph &g, std::span<const uint8_t> query,
+                    const std::string &what)
+{
+    SCOPED_TRACE(what);
+    const auto params = ScoreParams::mappingDefaults();
+    const GraphLocalHit truth = gsswAlignScalar(g, query, params);
+    for (const char *level : {"scalar", "sse2", "avx2"}) {
+        SCOPED_TRACE(level);
+        SimdLevelOverride guard(level);
+        GsswOptions keep;
+        keep.keepMatrices = true;
+        const GsswResult lean = gsswAlign(g, query, params);
+        const GsswResult kept = gsswAlign(g, query, params, keep);
+        for (const GsswResult *result : {&lean, &kept}) {
+            EXPECT_EQ(result->best.score, truth.score);
+            EXPECT_EQ(result->best.node, truth.node);
+            EXPECT_EQ(result->best.nodeOffset, truth.nodeOffset);
+            EXPECT_EQ(result->best.queryEnd, truth.queryEnd);
+        }
+        EXPECT_TRUE(lean.matrices.empty());
+        EXPECT_EQ(lean.cellsComputed, kept.cellsComputed);
+        if (kept.best.score == 0)
+            continue;
+        const GsswAlignment alignment =
+            gsswTraceback(g, query, params, kept);
+        EXPECT_EQ(alignment.score, truth.score);
+        EXPECT_EQ(alignment.queryEnd, truth.queryEnd);
+        EXPECT_EQ(alignment.nodeWalk.back(), truth.node);
+        for (size_t w = 0; w + 1 < alignment.nodeWalk.size(); ++w) {
+            const auto succ = g.successors(alignment.nodeWalk[w]);
+            EXPECT_NE(std::find(succ.begin(), succ.end(),
+                                alignment.nodeWalk[w + 1]),
+                      succ.end());
+        }
+    }
+}
+
+TEST(GsswRecycling, WideFanOutAndFanInMatchScalar)
+{
+    Rng rng(47);
+    for (int round = 0; round < 6; ++round) {
+        const auto k = static_cast<uint32_t>(8 + rng.below(9));
+        const LocalGraph g = buildDag(rng, 2 * k + 3, fanEdges(k), 20);
+        const auto query = walkQuery(rng, g, 40 + rng.below(80));
+        expectMatchesScalar(g, query, "fan k=" + std::to_string(k));
+    }
+}
+
+TEST(GsswRecycling, ParentsOwedToOtherChildrenMatchScalar)
+{
+    Rng rng(48);
+    for (int round = 0; round < 6; ++round) {
+        const auto layers = static_cast<uint32_t>(3 + rng.below(5));
+        const auto width = static_cast<uint32_t>(2 + rng.below(8));
+        const LocalGraph g = buildDag(
+            rng, layers * width, layeredEdges(layers, width), 15);
+        const auto query = walkQuery(rng, g, 30 + rng.below(90));
+        expectMatchesScalar(g, query,
+                            "layers " + std::to_string(layers) + "x" +
+                                std::to_string(width));
+    }
+}
+
+TEST(GsswRecycling, SeveralSourcesAndSinksMatchScalar)
+{
+    Rng rng(49);
+    for (int round = 0; round < 10; ++round) {
+        const auto n = static_cast<uint32_t>(5 + rng.below(60));
+        const LocalGraph g = buildDag(rng, n, randomEdges(rng, n), 25);
+        const auto query = walkQuery(rng, g, 20 + rng.below(150));
+        expectMatchesScalar(g, query, "random n=" + std::to_string(n));
+    }
+}
+
+TEST(GsswRecycling, BigSmallBigOnOneThreadMatchScalar)
+{
+    // The workspace keeps its pool between calls: a small alignment
+    // between two big ones must reuse, not trip over, larger states.
+    Rng rng(50);
+    const LocalGraph big1 =
+        buildDag(rng, 400, layeredEdges(40, 10), 12);
+    const LocalGraph small = buildDag(rng, 3, {{0, 1}, {0, 2}}, 6);
+    const LocalGraph big2 = buildDag(rng, 300, randomEdges(rng, 300), 20);
+    expectMatchesScalar(big1, walkQuery(rng, big1, 500), "big");
+    expectMatchesScalar(small, walkQuery(rng, small, 8), "small");
+    expectMatchesScalar(big2, walkQuery(rng, big2, 700), "big again");
+}
+
+TEST(GsswRecycling, LiveStatesFollowGraphWidthNotNodeCount)
+{
+    // On a fresh thread the pool starts empty: a 600-node chain needs
+    // one state, and complete layers of width w at most 2w - 1 (a
+    // layer's w states plus w - 1 copies made for the next layer
+    // before its last child takes a parent's buffer over).
+    Rng rng(51);
+    EdgeList chain;
+    for (uint32_t v = 0; v + 1 < 600; ++v)
+        chain.emplace_back(v, v + 1);
+    const LocalGraph line = buildDag(rng, 600, chain, 10);
+    constexpr uint32_t kWidth = 6;
+    const LocalGraph layers =
+        buildDag(rng, 60 * kWidth, layeredEdges(60, kWidth), 10);
+    const auto query = randomBases(rng, 200);
+    size_t line_states = 0, layer_states = 0;
+    std::thread([&] {
+        gsswAlign(line, query, ScoreParams::mappingDefaults());
+        line_states = detail::gsswWorkspace().states.size();
+        gsswAlign(layers, query, ScoreParams::mappingDefaults());
+        layer_states = detail::gsswWorkspace().states.size();
+    }).join();
+    EXPECT_EQ(line_states, 1u);
+    EXPECT_EQ(layer_states, 2 * kWidth - 1);
 }
 
 // ------------------------------------------------- batched kernel

@@ -9,13 +9,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
-#include <sys/stat.h>
+#include <thread>
 #include <vector>
 
 #include "core/fault.hpp"
@@ -26,16 +28,25 @@
 #include "store/format.hpp"
 #include "store/store.hpp"
 #include "synth/pangenome_sim.hpp"
+#include "temp_dir.hpp"
 
 namespace {
 
 using namespace pgb;
 
-bool
-fileExists(const std::string &path)
+/** Names in this process's temp dir that start with @p prefix. */
+std::vector<std::string>
+tempFilesStartingWith(const std::string &prefix)
 {
-    struct stat st;
-    return ::stat(path.c_str(), &st) == 0;
+    std::vector<std::string> names;
+    for (const auto &entry : std::filesystem::directory_iterator(
+             pgb::test::processTempDir())) {
+        const std::string name = entry.path().filename().string();
+        if (name.rfind(prefix, 0) == 0)
+            names.push_back(name);
+    }
+    std::sort(names.begin(), names.end());
+    return names;
 }
 
 std::string
@@ -47,7 +58,7 @@ gfaText(const graph::PanGraph &graph)
 }
 
 /** A small fixed-seed pangenome, its indexes, and a written artifact
- *  shared by every test (written once into gtest's temp dir). */
+ *  shared by every test (written once into this process's temp dir). */
 struct StoreFixture
 {
     synth::Pangenome pangenome;
@@ -62,7 +73,8 @@ struct StoreFixture
         minimizers = std::make_unique<index::MinimizerIndex>(
             pangenome.graph, 15, 10);
         gbwt = std::make_unique<index::GbwtIndex>(pangenome.graph);
-        artifactPath = testing::TempDir() + "pgb_store_fixture.pgbi";
+        artifactPath =
+            pgb::test::processTempDir() + "pgb_store_fixture.pgbi";
         store::writeArtifact(artifactPath, pangenome.graph,
                              *minimizers, gbwt.get());
     }
@@ -79,7 +91,7 @@ fixture()
 std::string
 copyArtifact(const std::string &name)
 {
-    const std::string dst = testing::TempDir() + name;
+    const std::string dst = pgb::test::processTempDir() + name;
     std::ifstream in(fixture().artifactPath, std::ios::binary);
     std::ofstream out(dst, std::ios::binary | std::ios::trunc);
     out << in.rdbuf();
@@ -160,7 +172,7 @@ TEST(StoreRoundTrip, GbwtAnswersIdenticalQueries)
 
 TEST(StoreRoundTrip, ArtifactWithoutGbwtLoadsWithNullGbwt)
 {
-    const std::string path = testing::TempDir() + "no_gbwt.pgbi";
+    const std::string path = pgb::test::processTempDir() + "no_gbwt.pgbi";
     store::writeArtifact(path, fixture().pangenome.graph,
                          *fixture().minimizers, nullptr);
     const auto artifact = store::Artifact::load(path);
@@ -175,7 +187,7 @@ TEST(StoreRoundTrip, RewriteOfLoadedArtifactIsByteIdentical)
     // Serialization is deterministic: load + rewrite reproduces the
     // file byte for byte (the build-once guarantee).
     const auto artifact = store::Artifact::load(fixture().artifactPath);
-    const std::string path = testing::TempDir() + "rewrite.pgbi";
+    const std::string path = pgb::test::processTempDir() + "rewrite.pgbi";
     store::writeArtifact(path, artifact->graph(), artifact->minimizers(),
                          artifact->gbwt());
     std::ifstream a(fixture().artifactPath, std::ios::binary);
@@ -191,7 +203,7 @@ TEST(StoreRoundTrip, RewriteOfLoadedArtifactIsByteIdentical)
 
 TEST(StoreFail, MissingFileIsFatal)
 {
-    EXPECT_THROW(store::Artifact::load(testing::TempDir() +
+    EXPECT_THROW(store::Artifact::load(pgb::test::processTempDir() +
                                        "no_such_artifact.pgbi"),
                  core::FatalError);
 }
@@ -294,7 +306,7 @@ TEST(StoreFail, FmSectionRoundTripsAndValidates)
     // A healthy FM-bearing artifact loads with view-mode FM spans that
     // answer queries identically to the built index.
     const index::FmIndex fm(fixture().pangenome.graph);
-    const std::string path = testing::TempDir() + "with_fm.pgbi";
+    const std::string path = pgb::test::processTempDir() + "with_fm.pgbi";
     store::writeArtifact(path, fixture().pangenome.graph,
                          *fixture().minimizers, nullptr, &fm);
     const auto artifact = store::Artifact::load(path);
@@ -335,15 +347,73 @@ TEST_F(StoreFaultTest, EveryLoadSiteFailsClosed)
 
 TEST_F(StoreFaultTest, FailedWriteLeavesNoPartialArtifact)
 {
-    const std::string path = testing::TempDir() + "failed_write.pgbi";
+    const std::string path = pgb::test::processTempDir() + "failed_write.pgbi";
     core::fault::arm("io.flush", 1);
     EXPECT_THROW(store::writeArtifact(path, fixture().pangenome.graph,
                                       *fixture().minimizers,
                                       fixture().gbwt.get()),
                  core::FatalError);
     core::fault::disarmAll();
-    EXPECT_FALSE(fileExists(path));
-    EXPECT_FALSE(fileExists(path + ".tmp"));
+    // Neither the artifact nor its staged temp file may remain.
+    EXPECT_TRUE(tempFilesStartingWith("failed_write.pgbi").empty());
+}
+
+TEST(StoreWrite, ConcurrentWritersOfOnePathLeaveOneValidArtifact)
+{
+    // Writers racing on one path each stage their own temp file, so
+    // whichever rename lands last leaves a complete artifact: it loads,
+    // validates, and is byte-identical to one of the two versions
+    // being written. No temp file is left behind.
+    const std::string path =
+        pgb::test::processTempDir() + "contended.pgbi";
+    const std::string with_gbwt =
+        pgb::test::processTempDir() + "version_with_gbwt.pgbi";
+    const std::string without_gbwt =
+        pgb::test::processTempDir() + "version_without_gbwt.pgbi";
+    const auto &f = fixture();
+    store::writeArtifact(with_gbwt, f.pangenome.graph, *f.minimizers,
+                         f.gbwt.get());
+    store::writeArtifact(without_gbwt, f.pangenome.graph, *f.minimizers,
+                         nullptr);
+    auto slurp = [](const std::string &file) {
+        std::ifstream in(file, std::ios::binary);
+        std::stringstream bytes;
+        bytes << in.rdbuf();
+        return bytes.str();
+    };
+
+    constexpr int kWriters = 8;
+    constexpr int kRounds = 4;
+    for (int round = 0; round < kRounds; ++round) {
+        std::atomic<int> ready{0};
+        std::atomic<int> failures{0};
+        std::vector<std::thread> writers;
+        for (int w = 0; w < kWriters; ++w) {
+            writers.emplace_back([&, w] {
+                ++ready;
+                while (ready.load() < kWriters) {
+                }
+                try {
+                    store::writeArtifact(
+                        path, f.pangenome.graph, *f.minimizers,
+                        w % 2 == 0 ? f.gbwt.get() : nullptr);
+                } catch (const core::FatalError &) {
+                    ++failures;
+                }
+            });
+        }
+        for (auto &writer : writers)
+            writer.join();
+        ASSERT_EQ(failures.load(), 0) << "round " << round;
+        const auto artifact = store::Artifact::load(path);
+        EXPECT_EQ(gfaText(artifact->graph()), gfaText(f.pangenome.graph));
+        const std::string survivor = slurp(path);
+        EXPECT_TRUE(survivor == slurp(with_gbwt) ||
+                    survivor == slurp(without_gbwt))
+            << "round " << round;
+        EXPECT_EQ(tempFilesStartingWith("contended.pgbi"),
+                  std::vector<std::string>{"contended.pgbi"});
+    }
 }
 
 } // namespace
