@@ -28,17 +28,23 @@ main()
         const char *name;
         std::function<uint64_t()> run;
         double paperSeconds;
+        size_t inputs; ///< traces, queries, matches or layout nodes
     };
     const Row rows[] = {
-        {"GBV", [&] { return runGbv(inputs, null_probe); }, 192},
-        {"GSSW", [&] { return runGssw(inputs, null_probe); }, 35},
-        {"GBWT", [&] { return runGbwt(inputs, null_probe); }, 23},
-        {"GWFA-cr",
-         [&] { return runGwfa(inputs.gwfaCr, null_probe); }, 16657},
-        {"GWFA-lr",
-         [&] { return runGwfa(inputs.gwfaLr, null_probe); }, 720},
-        {"PGSGD", [&] { return runPgsgd(inputs, null_probe); }, 285},
-        {"TC", [&] { return runTc(inputs, null_probe); }, 755},
+        {"GBV", [&] { return runGbv(inputs, null_probe); }, 192,
+         inputs.gbv.size()},
+        {"GSSW", [&] { return runGssw(inputs, null_probe); }, 35,
+         inputs.gssw.size()},
+        {"GBWT", [&] { return runGbwt(inputs, null_probe); }, 23,
+         inputs.gbwtQueries.size()},
+        {"GWFA-cr", [&] { return runGwfa(inputs.gwfaCr, null_probe); },
+         16657, inputs.gwfaCr.size()},
+        {"GWFA-lr", [&] { return runGwfa(inputs.gwfaLr, null_probe); },
+         720, inputs.gwfaLr.size()},
+        {"PGSGD", [&] { return runPgsgd(inputs, null_probe); }, 285,
+         inputs.nodeCount},
+        {"TC", [&] { return runTc(inputs, null_probe); }, 755,
+         inputs.tcMatches.size()},
     };
 
     std::printf("%-8s %12s %12s %14s\n", "kernel", "measured(ms)",
@@ -47,8 +53,8 @@ main()
     for (const Row &row : rows) {
         core::WallTimer timer;
         sink += row.run();
-        std::printf("%-8s %12.1f %12.0f\n", row.name,
-                    timer.milliseconds(), row.paperSeconds);
+        std::printf("%-8s %12.1f %12.0f %14zu\n", row.name,
+                    timer.milliseconds(), row.paperSeconds, row.inputs);
     }
     std::printf("\n(checksum %llu; paper Table 4 measured GBV 192s, "
                 "GSSW 35s, GBWT 23s, GWFA-cr 16657s, GWFA-lr 720s, "

@@ -44,11 +44,16 @@ main(int argc, char **argv)
         reads.push_back(read.read);
     }
 
-    // 3. Map with the vg map profile (GSSW alignment kernel).
+    // 3. Build the indexes once, then map with the vg map profile
+    //    (GSSW alignment kernel).
+    const auto context = pipeline::MappingContext::Builder()
+                             .fromGraph(pangenome.graph)
+                             .threads(2)
+                             .build();
     pipeline::MapperConfig config;
     config.profile = pipeline::ToolProfile::kVgMap;
     config.threads = 2;
-    pipeline::Seq2GraphMapper mapper(pangenome.graph, config);
+    const pipeline::Seq2GraphMapper mapper(*context, config);
     const auto report = mapper.mapReads(reads);
     std::printf("mapped %llu/%llu reads\n",
                 static_cast<unsigned long long>(report.mappedReads),

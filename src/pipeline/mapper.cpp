@@ -69,29 +69,6 @@ MapperConfig::forTool(ToolProfile tool)
     return config;
 }
 
-Seq2GraphMapper::Seq2GraphMapper(const graph::PanGraph &graph,
-                                 MapperConfig config)
-    : config_(config)
-{
-    owned_ = MappingContext::Builder()
-                 .fromGraph(graph)
-                 .k(config.k)
-                 .w(config.w)
-                 .threads(config.threads)
-                 .buildGbwt(config.profile == ToolProfile::kVgGiraffe)
-                 .build();
-    context_ = owned_.get();
-    checkContext();
-}
-
-Seq2GraphMapper::Seq2GraphMapper(
-    std::shared_ptr<const MappingContext> context, MapperConfig config)
-    : owned_(std::move(context)), context_(owned_.get()),
-      config_(config)
-{
-    checkContext();
-}
-
 Seq2GraphMapper::Seq2GraphMapper(const MappingContext &context,
                                  MapperConfig config)
     : context_(&context), config_(config)
@@ -102,8 +79,6 @@ Seq2GraphMapper::Seq2GraphMapper(const MappingContext &context,
 void
 Seq2GraphMapper::checkContext() const
 {
-    if (context_ == nullptr)
-        core::fatal("mapper: null mapping context");
     if (config_.k != context_->k() || config_.w != context_->w()) {
         core::fatal("mapper: config k/w (", config_.k, "/", config_.w,
                     ") do not match the context's index (",
@@ -119,7 +94,8 @@ Seq2GraphMapper::checkContext() const
 
 std::vector<Seq2GraphMapper::AlignTask>
 Seq2GraphMapper::planAlignments(const seq::Sequence &read,
-                                MappingStats &stats) const
+                                MappingStats &stats,
+                                std::vector<GwfaTrace> *gaps) const
 {
     // Per-read planning buffers, one set per thread for the process
     // lifetime (core::threadScratch): anchors and chains are cleared
@@ -199,25 +175,29 @@ Seq2GraphMapper::planAlignments(const seq::Sequence &read,
             if (query_gap < config_.gwfaGapThreshold)
                 continue;
             // Bridge the anchors through the graph with GWFA.
-            uint32_t origin = 0;
-            graph::LocalGraph sub = source().extractSubgraph(
-                graph::Handle(a.node, false),
-                query_gap * 2 + 64, &origin);
-            std::vector<uint8_t> gap_query;
+            GwfaTrace gap;
+            gap.subgraph = source().extractSubgraph(
+                graph::Handle(a.node, false), query_gap * 2 + 64,
+                &gap.startNode);
             if (best.reverse) {
                 // The aligned strand is the reverse complement: the
                 // gap content is rc(read[b.q .. a.q)).
                 seq::Sequence tmp(std::vector<uint8_t>(
                     codes.begin() + b.queryPos,
                     codes.begin() + a.queryPos));
-                gap_query = tmp.reverseComplement().codes();
+                gap.query = tmp.reverseComplement().codes();
             } else {
-                gap_query.assign(codes.begin() + a.queryPos,
+                gap.query.assign(codes.begin() + a.queryPos,
                                  codes.begin() + b.queryPos);
             }
-            align::gwfaAlign(sub, gap_query, origin,
-                             static_cast<int32_t>(query_gap),
-                             a.nodeOffset);
+            gap.startOffset = a.nodeOffset;
+            gap.maxScore = static_cast<int32_t>(query_gap);
+            if (gaps != nullptr) {
+                gaps->push_back(std::move(gap));
+                continue;
+            }
+            align::gwfaAlign(gap.subgraph, gap.query, gap.startNode,
+                             gap.maxScore, gap.startOffset);
         }
         stats.kernelSeconds += kernel_timer.seconds();
         stats.kernelName = "GWFA";
@@ -511,42 +491,17 @@ std::vector<GwfaTrace>
 Seq2GraphMapper::captureGwfaTraces(std::span<const seq::Sequence> reads,
                                    size_t max_traces) const
 {
+    if (config_.profile != ToolProfile::kMinigraph)
+        core::fatal("mapper: GWFA traces need the minigraph profile");
     std::vector<GwfaTrace> traces;
     MappingStats stats;
     for (const seq::Sequence &read : reads) {
         if (traces.size() >= max_traces)
             break;
-        std::vector<Anchor> anchors = collectAnchors(
-            read, context_->minimizers(), context_->linearization());
-        if (anchors.empty())
-            continue;
-        ChainParams params;
-        const auto chains = chainAnchors(anchors, params);
-        if (chains.empty())
-            continue;
-        const AnchorChain &best = chains.front();
-        if (best.reverse)
-            continue; // forward-strand traces are representative
-        const auto &codes = read.codes();
-        for (size_t i = 0; i + 1 < best.anchorIds.size() &&
-                           traces.size() < max_traces; ++i) {
-            const Anchor &a = anchors[best.anchorIds[i]];
-            const Anchor &b = anchors[best.anchorIds[i + 1]];
-            const uint64_t query_gap =
-                b.queryPos > a.queryPos ? b.queryPos - a.queryPos : 0;
-            if (query_gap < config_.gwfaGapThreshold)
-                continue;
-            GwfaTrace trace;
-            trace.subgraph = source().extractSubgraph(
-                graph::Handle(a.node, false), query_gap * 2 + 64,
-                &trace.startNode);
-            trace.query.assign(
-                codes.begin() + a.queryPos,
-                codes.begin() + std::min<size_t>(b.queryPos,
-                                                 codes.size()));
-            traces.push_back(std::move(trace));
-        }
+        planAlignments(read, stats, &traces);
     }
+    if (traces.size() > max_traces)
+        traces.resize(max_traces);
     return traces;
 }
 

@@ -21,7 +21,6 @@
 #define PGB_PIPELINE_MAPPER_HPP
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -29,7 +28,6 @@
 
 #include "core/timer.hpp"
 #include "graph/pangraph.hpp"
-#include "index/gbwt.hpp"
 #include "index/minimizer.hpp"
 #include "pipeline/chain.hpp"
 #include "pipeline/context.hpp"
@@ -119,42 +117,37 @@ struct GsswTrace
 /** Captured GBV kernel inputs. */
 using GbvTrace = GsswTrace;
 
-/** Captured GWFA kernel inputs. */
+/**
+ * Captured GWFA kernel inputs: one minigraph gap bridge, holding every
+ * argument the mapper passes to gwfaAlign.
+ */
 struct GwfaTrace
 {
     graph::LocalGraph subgraph;
     std::vector<uint8_t> query;
     uint32_t startNode = 0;
+    uint32_t startOffset = 0;
+    int32_t maxScore = 0;
 };
 
 /**
  * Seq2Graph mapping pipeline over a pangenome graph.
  *
- * The mapper itself is a thin per-run object: all shared immutable
- * state (graph, indexes, linearization) lives in a MappingContext.
- * The graph+config constructor keeps the historical build-per-mapper
- * behavior; the context constructors map against prebuilt (or
- * artifact-loaded) state without paying index construction.
+ * The mapper is a thin per-run object over a MappingContext, which
+ * holds all shared immutable state (graph, indexes, seeder) and is
+ * built once through MappingContext::Builder — in memory, from a
+ * `.pgbi` artifact, or from a `.pgbs` shard set. The caller keeps the
+ * context alive for the mapper's lifetime. The trace captures run the
+ * same planner as mapping, so they work on every backing store.
  */
 class Seq2GraphMapper
 {
   public:
     /**
-     * Legacy one-shot form: builds a private MappingContext from
-     * @p graph using config.k/w/threads (plus a GBWT for the giraffe
-     * profile). Equivalent to build() + the context constructor.
+     * Map against @p context with per-run knobs @p config. The giraffe
+     * profile requires a context carrying a GBWT, and config.k/w must
+     * match the context's index (both fatal()).
      */
-    Seq2GraphMapper(const graph::PanGraph &graph, MapperConfig config);
-
-    /**
-     * Build-once/map-many form: share @p context across runs. The
-     * giraffe profile requires a context carrying a GBWT, and
-     * config.k/w must match the context's index (both fatal()).
-     */
-    Seq2GraphMapper(std::shared_ptr<const MappingContext> context,
-                    MapperConfig config);
-
-    /** Non-owning context form (caller keeps @p context alive). */
     Seq2GraphMapper(const MappingContext &context, MapperConfig config);
 
     /** Map a batch of reads (thread-parallel over reads). */
@@ -182,19 +175,14 @@ class Seq2GraphMapper
     captureAlignTraces(std::span<const seq::Sequence> reads,
                        size_t max_traces) const;
 
-    /** Capture GWFA gap-bridging traces (minigraph profile). */
+    /**
+     * Capture the GWFA gap bridges the minigraph profile would align:
+     * the same gaps mapOne bridges, on both strands (fatal for other
+     * profiles, which bridge no gaps).
+     */
     std::vector<GwfaTrace>
     captureGwfaTraces(std::span<const seq::Sequence> reads,
                       size_t max_traces) const;
-
-    /** Monolith-only convenience accessors (fatal on a shard set). */
-    const index::MinimizerIndex &minimizerIndex() const
-    {
-        return context_->minimizers();
-    }
-    const index::GbwtIndex *gbwt() const { return context_->gbwt(); }
-    const MapperConfig &config() const { return config_; }
-    const MappingContext &context() const { return *context_; }
 
   private:
     struct AlignTask
@@ -208,9 +196,14 @@ class Seq2GraphMapper
         uint64_t linearLo = 0, linearHi = 0;
     };
 
-    /** Seed + cluster/chain + filter; emits alignment tasks. */
-    std::vector<AlignTask> planAlignments(const seq::Sequence &read,
-                                          MappingStats &stats) const;
+    /**
+     * Seed + cluster/chain + filter; emits alignment tasks. Minigraph
+     * bridges chain gaps with GWFA on the way; when @p gaps is set,
+     * each bridge is appended to it instead of aligned.
+     */
+    std::vector<AlignTask>
+    planAlignments(const seq::Sequence &read, MappingStats &stats,
+                   std::vector<GwfaTrace> *gaps = nullptr) const;
 
     /** Extraction radius for an alignment task (see contextSteps). */
     size_t taskRadius(const AlignTask &task, size_t read_length) const;
@@ -222,7 +215,6 @@ class Seq2GraphMapper
      *  shard set, same call shapes (node ids are global). */
     const GraphSource &source() const { return context_->source(); }
 
-    std::shared_ptr<const MappingContext> owned_; ///< may be null
     const MappingContext *context_;
     MapperConfig config_;
 };

@@ -324,7 +324,11 @@ TEST_F(FaultTest, MapReadsPropagatesWorkerFault)
     auto config =
         pipeline::MapperConfig::forTool(pipeline::ToolProfile::kVgMap);
     config.threads = 4;
-    const pipeline::Seq2GraphMapper mapper(pangenome.graph, config);
+    const auto context = pipeline::MappingContext::Builder()
+                             .fromGraph(pangenome.graph)
+                             .threads(4)
+                             .build();
+    const pipeline::Seq2GraphMapper mapper(*context, config);
 
     core::fault::arm("mapper.read", 5);
     EXPECT_THROW(mapper.mapReads(reads), FatalError);

@@ -39,8 +39,9 @@ pathGraph(const std::vector<std::string> &texts)
     for (size_t p = 0; p < texts.size(); ++p) {
         const graph::NodeId node =
             graph.addNode(seq::Sequence("", texts[p]));
-        graph.addPath("p" + std::to_string(p),
-                      {graph::Handle(node, false)});
+        std::string name = "p";
+        name += std::to_string(p);
+        graph.addPath(std::move(name), {graph::Handle(node, false)});
     }
     return graph;
 }

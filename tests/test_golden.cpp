@@ -120,15 +120,16 @@ gfaDigest(const graph::PanGraph &graph)
     return core::md5Hex(out.str());
 }
 
-/** Per-read mapping records (serial mapOne for a stable order). */
+/** Per-read mapping records (serial mapOne for a stable order)
+ *  against a prebuilt @p context. */
 std::string
-mappingDigest(const graph::PanGraph &graph,
+mappingDigest(const pipeline::MappingContext &context,
               pipeline::ToolProfile tool,
               const std::vector<seq::Sequence> &reads)
 {
     auto config = pipeline::MapperConfig::forTool(tool);
     config.threads = 1;
-    const pipeline::Seq2GraphMapper mapper(graph, config);
+    const pipeline::Seq2GraphMapper mapper(context, config);
     pipeline::MappingStats stats;
     std::ostringstream out;
     for (const seq::Sequence &read : reads) {
@@ -138,6 +139,16 @@ mappingDigest(const graph::PanGraph &graph,
             << mapping.reverse << '\n';
     }
     return core::md5Hex(out.str());
+}
+
+/** The fixture graph indexed in memory (minimizer seeding). */
+const pipeline::MappingContext &
+inMemoryContext()
+{
+    static const auto context = pipeline::MappingContext::Builder()
+                                    .fromGraph(fixture().pangenome.graph)
+                                    .build();
+    return *context;
 }
 
 /** Compare @p digest against the checked-in golden @p file, or
@@ -211,25 +222,6 @@ artifactContext()
     return context;
 }
 
-/** mappingDigest, but through a loaded artifact context. */
-std::string
-artifactMappingDigest(pipeline::ToolProfile tool,
-                      const std::vector<seq::Sequence> &reads)
-{
-    auto config = pipeline::MapperConfig::forTool(tool);
-    config.threads = 1;
-    const pipeline::Seq2GraphMapper mapper(artifactContext(), config);
-    pipeline::MappingStats stats;
-    std::ostringstream out;
-    for (const seq::Sequence &read : reads) {
-        const auto mapping = mapper.mapOne(read, stats);
-        out << read.name() << '\t' << mapping.mapped << '\t'
-            << mapping.node << '\t' << mapping.score << '\t'
-            << mapping.reverse << '\n';
-    }
-    return core::md5Hex(out.str());
-}
-
 /**
  * The MEM-seeded artifact context: the fixture graph with FM-index
  * sections, loaded back with the mem seeding strategy. Like the
@@ -254,31 +246,10 @@ memArtifactContext()
     return context;
 }
 
-/** mappingDigest through an arbitrary prebuilt context. */
-std::string
-contextMappingDigest(
-    const std::shared_ptr<const pipeline::MappingContext> &context,
-    pipeline::ToolProfile tool,
-    const std::vector<seq::Sequence> &reads)
-{
-    auto config = pipeline::MapperConfig::forTool(tool);
-    config.threads = 1;
-    const pipeline::Seq2GraphMapper mapper(context, config);
-    pipeline::MappingStats stats;
-    std::ostringstream out;
-    for (const seq::Sequence &read : reads) {
-        const auto mapping = mapper.mapOne(read, stats);
-        out << read.name() << '\t' << mapping.mapped << '\t'
-            << mapping.node << '\t' << mapping.score << '\t'
-            << mapping.reverse << '\n';
-    }
-    return core::md5Hex(out.str());
-}
-
 TEST(Golden, ShortReadMappingsMemSeederMatchGolden)
 {
     checkGolden("short_reads_vgmap_mem.md5",
-                contextMappingDigest(memArtifactContext(),
+                mappingDigest(*memArtifactContext(),
                                      pipeline::ToolProfile::kVgMap,
                                      fixture().shortReads));
 }
@@ -286,7 +257,7 @@ TEST(Golden, ShortReadMappingsMemSeederMatchGolden)
 TEST(Golden, LongReadMappingsMemSeederMatchGolden)
 {
     checkGolden("long_reads_minigraph_mem.md5",
-                contextMappingDigest(memArtifactContext(),
+                mappingDigest(*memArtifactContext(),
                                      pipeline::ToolProfile::kMinigraph,
                                      fixture().longReads));
 }
@@ -299,9 +270,9 @@ TEST(Golden, MemSeederInMemoryBuildMatchesArtifactDigest)
                            .fromGraph(fixture().pangenome.graph)
                            .seeder(pipeline::SeederKind::kMem)
                            .build();
-    EXPECT_EQ(contextMappingDigest(built, pipeline::ToolProfile::kVgMap,
+    EXPECT_EQ(mappingDigest(*built, pipeline::ToolProfile::kVgMap,
                                    fixture().shortReads),
-              contextMappingDigest(memArtifactContext(),
+              mappingDigest(*memArtifactContext(),
                                    pipeline::ToolProfile::kVgMap,
                                    fixture().shortReads));
 }
@@ -309,7 +280,7 @@ TEST(Golden, MemSeederInMemoryBuildMatchesArtifactDigest)
 TEST(Golden, ShortReadMappingsMatchGolden)
 {
     checkGolden("short_reads_vgmap.md5",
-                mappingDigest(fixture().pangenome.graph,
+                mappingDigest(inMemoryContext(),
                               pipeline::ToolProfile::kVgMap,
                               fixture().shortReads));
 }
@@ -317,7 +288,7 @@ TEST(Golden, ShortReadMappingsMatchGolden)
 TEST(Golden, LongReadMappingsMatchGolden)
 {
     checkGolden("long_reads_minigraph.md5",
-                mappingDigest(fixture().pangenome.graph,
+                mappingDigest(inMemoryContext(),
                               pipeline::ToolProfile::kMinigraph,
                               fixture().longReads));
 }
@@ -327,16 +298,17 @@ TEST(Golden, ShortReadMappingsViaArtifactMatchGolden)
     // The .pgbi round trip is invisible to the mapper: the same
     // golden digest as the in-memory ShortReadMappingsMatchGolden.
     checkGolden("short_reads_vgmap.md5",
-                artifactMappingDigest(pipeline::ToolProfile::kVgMap,
-                                      fixture().shortReads));
+                mappingDigest(*artifactContext(),
+                              pipeline::ToolProfile::kVgMap,
+                              fixture().shortReads));
 }
 
 TEST(Golden, LongReadMappingsViaArtifactMatchGolden)
 {
     checkGolden("long_reads_minigraph.md5",
-                artifactMappingDigest(
-                    pipeline::ToolProfile::kMinigraph,
-                    fixture().longReads));
+                mappingDigest(*artifactContext(),
+                              pipeline::ToolProfile::kMinigraph,
+                              fixture().longReads));
 }
 
 TEST(Golden, MapBatchViaArtifactAggregatesMatchInMemory)
@@ -346,9 +318,8 @@ TEST(Golden, MapBatchViaArtifactAggregatesMatchInMemory)
     auto config =
         pipeline::MapperConfig::forTool(pipeline::ToolProfile::kVgMap);
     config.threads = 2;
-    const pipeline::Seq2GraphMapper inMemory(fixture().pangenome.graph,
-                                             config);
-    const auto direct = inMemory.mapReads(fixture().shortReads);
+    const auto direct = pipeline::mapBatch(inMemoryContext(), config,
+                                           fixture().shortReads);
     const auto batched = pipeline::mapBatch(*artifactContext(), config,
                                             fixture().shortReads);
     EXPECT_EQ(direct.mappedReads, batched.mappedReads);
@@ -362,13 +333,11 @@ TEST(Golden, ParallelMapReadsAggregatesAreThreadCountInvariant)
     auto config =
         pipeline::MapperConfig::forTool(pipeline::ToolProfile::kVgMap);
     config.threads = 1;
-    const pipeline::Seq2GraphMapper serial(fixture().pangenome.graph,
-                                           config);
+    const auto one = pipeline::mapBatch(inMemoryContext(), config,
+                                        fixture().shortReads);
     config.threads = 8;
-    const pipeline::Seq2GraphMapper wide(fixture().pangenome.graph,
-                                         config);
-    const auto one = serial.mapReads(fixture().shortReads);
-    const auto eight = wide.mapReads(fixture().shortReads);
+    const auto eight = pipeline::mapBatch(inMemoryContext(), config,
+                                          fixture().shortReads);
     EXPECT_EQ(one.mappedReads, eight.mappedReads);
     EXPECT_EQ(one.anchors, eight.anchors);
     EXPECT_EQ(one.clusters, eight.clusters);

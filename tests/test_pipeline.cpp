@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/logging.hpp"
 #include "core/thread_pool.hpp"
 #include "pipeline/chain.hpp"
 #include "pipeline/graph_build.hpp"
@@ -58,6 +59,13 @@ makeWorkload(size_t base_length, size_t n_reads, size_t read_length,
     return w;
 }
 
+/** In-memory context over @p graph, with the GBWT giraffe needs. */
+std::shared_ptr<const MappingContext>
+contextFor(const graph::PanGraph &graph)
+{
+    return MappingContext::Builder().fromGraph(graph).buildGbwt(true).build();
+}
+
 // ------------------------------------------------------- Chaining
 
 TEST(Chain, AnchorsLandOnTrueRegion)
@@ -66,8 +74,9 @@ TEST(Chain, AnchorsLandOnTrueRegion)
     const GraphLinearization linear(w.pangenome.graph);
     const index::MinimizerIndex index(w.pangenome.graph, 15, 10);
     size_t with_anchors = 0;
+    std::vector<Anchor> anchors;
     for (const auto &read : w.reads) {
-        const auto anchors = collectAnchors(read, index, linear);
+        collectAnchorsInto(read, index, linear, anchors);
         with_anchors += anchors.empty() ? 0 : 1;
     }
     EXPECT_GE(with_anchors, w.reads.size() - 1);
@@ -123,7 +132,8 @@ TEST_P(MapperProfiles, MapsSimulatedShortReads)
     MapperConfig config;
     config.profile = profile;
     config.threads = 2;
-    Seq2GraphMapper mapper(w.pangenome.graph, config);
+    const auto context = contextFor(w.pangenome.graph);
+    const Seq2GraphMapper mapper(*context, config);
     const auto stats = mapper.mapReads(w.reads);
     EXPECT_EQ(stats.reads, w.reads.size());
     // Simulated reads come from the graph's own haplotypes: the vast
@@ -150,7 +160,8 @@ TEST(Mapper, GiraffeChargesKernelTimeToFilter)
     const auto w = makeWorkload(30000, 20, 150, 202);
     MapperConfig config;
     config.profile = ToolProfile::kVgGiraffe;
-    Seq2GraphMapper mapper(w.pangenome.graph, config);
+    const auto context = contextFor(w.pangenome.graph);
+    const Seq2GraphMapper mapper(*context, config);
     const auto stats = mapper.mapReads(w.reads);
     EXPECT_STREQ(stats.kernelName, "GBWT");
     EXPECT_GT(stats.timers.seconds("filter"), 0.0);
@@ -161,7 +172,8 @@ TEST(Mapper, MinigraphUsesGwfaInChaining)
     const auto w = makeWorkload(30000, 10, 1200, 203);
     MapperConfig config;
     config.profile = ToolProfile::kMinigraph;
-    Seq2GraphMapper mapper(w.pangenome.graph, config);
+    const auto context = contextFor(w.pangenome.graph);
+    const Seq2GraphMapper mapper(*context, config);
     const auto stats = mapper.mapReads(w.reads);
     EXPECT_STREQ(stats.kernelName, "GWFA");
     EXPECT_GT(stats.kernelSeconds, 0.0);
@@ -178,7 +190,8 @@ TEST(Mapper, RandomReadsDoNotMap)
         junk.push_back(synth::randomSequence(150, 999 + i));
     MapperConfig config;
     config.profile = ToolProfile::kVgMap;
-    Seq2GraphMapper mapper(w.pangenome.graph, config);
+    const auto context = contextFor(w.pangenome.graph);
+    const Seq2GraphMapper mapper(*context, config);
     const auto stats = mapper.mapReads(junk);
     EXPECT_LE(stats.mappedReads, 1u);
 }
@@ -186,15 +199,31 @@ TEST(Mapper, RandomReadsDoNotMap)
 TEST(Mapper, CapturesAlignTraces)
 {
     const auto w = makeWorkload(30000, 10, 150, 205);
-    MapperConfig config;
-    config.profile = ToolProfile::kVgMap;
-    Seq2GraphMapper mapper(w.pangenome.graph, config);
-    const auto traces = mapper.captureAlignTraces(w.reads, 5);
-    ASSERT_GE(traces.size(), 3u);
-    for (const auto &trace : traces) {
-        EXPECT_GT(trace.subgraph.nodeCount(), 0u);
-        EXPECT_TRUE(trace.subgraph.isDag());
-        EXPECT_FALSE(trace.query.empty());
+    const auto context = contextFor(w.pangenome.graph);
+    for (const ToolProfile profile :
+         {ToolProfile::kVgMap, ToolProfile::kVgGiraffe,
+          ToolProfile::kGraphAligner, ToolProfile::kMinigraph}) {
+        const Seq2GraphMapper mapper(*context,
+                                     MapperConfig::forTool(profile));
+        const auto traces = mapper.captureAlignTraces(w.reads, 5);
+        ASSERT_GE(traces.size(), 3u) << toolName(profile);
+        for (const auto &trace : traces) {
+            EXPECT_GT(trace.subgraph.nodeCount(), 0u);
+            EXPECT_FALSE(trace.query.empty());
+            if (profile == ToolProfile::kVgMap ||
+                profile == ToolProfile::kVgGiraffe) {
+                EXPECT_TRUE(trace.subgraph.isDag()); // GSSW's input
+            }
+        }
+        // One trace per alignment mapOne runs, read by read.
+        for (const Sequence &read : w.reads) {
+            MappingStats stats;
+            mapper.mapOne(read, stats);
+            EXPECT_EQ(mapper.captureAlignTraces({&read, 1}, SIZE_MAX)
+                          .size(),
+                      stats.alignments)
+                << toolName(profile) << ' ' << read.name();
+        }
     }
 }
 
@@ -203,13 +232,60 @@ TEST(Mapper, CapturesGwfaTraces)
     const auto w = makeWorkload(40000, 10, 2000, 206);
     MapperConfig config;
     config.profile = ToolProfile::kMinigraph;
-    Seq2GraphMapper mapper(w.pangenome.graph, config);
+    const auto context = contextFor(w.pangenome.graph);
+    const Seq2GraphMapper mapper(*context, config);
     const auto traces = mapper.captureGwfaTraces(w.reads, 8);
+    ASSERT_EQ(traces.size(), 8u);
     for (const auto &trace : traces) {
         EXPECT_GT(trace.subgraph.nodeCount(), 0u);
         EXPECT_LT(trace.startNode, trace.subgraph.nodeCount());
+        EXPECT_LT(trace.startOffset,
+                  trace.subgraph.nodeLength(trace.startNode));
         EXPECT_FALSE(trace.query.empty());
+        // The mapper caps the bridge's score at the gap length.
+        EXPECT_EQ(trace.maxScore,
+                  static_cast<int32_t>(trace.query.size()));
     }
+}
+
+TEST(Mapper, GwfaCaptureIsStrandSymmetric)
+{
+    // Forward-strand reads and their reverse complements bridge the
+    // same gaps: the reverse chain's gaps are the forward chain's,
+    // read on the other strand.
+    const auto pangenome =
+        synth::simulatePangenome(synth::mGraphLikeConfig(40000, 206));
+    ReadProfile profile = ReadProfile::longRead();
+    profile.readLength = 2000;
+    profile.reverseStrand = false;
+    ReadSimulator sim(profile, 206 ^ 0xABC);
+    const auto context = contextFor(pangenome.graph);
+    const Seq2GraphMapper mapper(
+        *context, MapperConfig::forTool(ToolProfile::kMinigraph));
+    size_t bridged = 0;
+    for (size_t r = 0; r < 6; ++r) {
+        const Sequence read =
+            sim.sample(pangenome.haplotypes[r % pangenome.haplotypes
+                                                    .size()])
+                .read;
+        const Sequence rc = read.reverseComplement();
+        const size_t forward =
+            mapper.captureGwfaTraces({&read, 1}, SIZE_MAX).size();
+        EXPECT_EQ(mapper.captureGwfaTraces({&rc, 1}, SIZE_MAX).size(),
+                  forward)
+            << "read " << r;
+        bridged += forward;
+    }
+    EXPECT_GT(bridged, 0u);
+}
+
+TEST(Mapper, GwfaCaptureNeedsTheMinigraphProfile)
+{
+    const auto w = makeWorkload(30000, 2, 150, 206);
+    const auto context = contextFor(w.pangenome.graph);
+    const Seq2GraphMapper mapper(
+        *context, MapperConfig::forTool(ToolProfile::kVgMap));
+    EXPECT_THROW(mapper.captureGwfaTraces(w.reads, 8), core::FatalError);
 }
 
 TEST(Seq2Seq, BaselineMapsReadsFromReference)
@@ -368,23 +444,18 @@ TEST(Mapper, ForToolEncodesTradeoffs)
 TEST(Mapper, GiraffeIsCheaperThanVgMapOnTheSameReads)
 {
     const auto w = makeWorkload(30000, 40, 150, 215);
+    // Index construction is outside both timings: one context serves
+    // both profiles.
+    const auto context = contextFor(w.pangenome.graph);
     core::WallTimer vgmap_timer;
-    {
-        auto config = MapperConfig::forTool(ToolProfile::kVgMap);
-        Seq2GraphMapper mapper(w.pangenome.graph, config);
-        mapper.mapReads(w.reads);
-    }
+    mapBatch(*context, MapperConfig::forTool(ToolProfile::kVgMap),
+             w.reads);
     const double vgmap_seconds = vgmap_timer.seconds();
     core::WallTimer giraffe_timer;
-    {
-        auto config = MapperConfig::forTool(ToolProfile::kVgGiraffe);
-        Seq2GraphMapper mapper(w.pangenome.graph, config);
-        mapper.mapReads(w.reads);
-    }
-    // Giraffe's mapping phase is the cheap one (Table 1's ordering).
-    // Index construction is excluded from both timings... it is
-    // included here; giraffe builds a GBWT, so compare mapping only
-    // loosely: giraffe must not be dramatically slower.
+    mapBatch(*context, MapperConfig::forTool(ToolProfile::kVgGiraffe),
+             w.reads);
+    // Giraffe's mapping phase is the cheap one (Table 1's ordering);
+    // compare loosely: giraffe must not be dramatically slower.
     EXPECT_LT(giraffe_timer.seconds(), vgmap_seconds * 3.0);
 }
 

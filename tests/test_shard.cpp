@@ -98,8 +98,11 @@ struct UnionFixture
                 auto read = sim.sample(
                     pangenome.haplotypes[r %
                                          pangenome.haplotypes.size()]);
-                read.read.setName("c" + std::to_string(c) + "_r" +
-                                  std::to_string(r));
+                std::string name = "c";
+                name += std::to_string(c);
+                name += "_r";
+                name += std::to_string(r);
+                read.read.setName(std::move(name));
                 reads.push_back(std::move(read.read));
             }
         }
@@ -159,7 +162,7 @@ mappingDigest(
 {
     auto config = pipeline::MapperConfig::forTool(tool);
     config.threads = 1;
-    const pipeline::Seq2GraphMapper mapper(context, config);
+    const pipeline::Seq2GraphMapper mapper(*context, config);
     pipeline::MappingStats stats;
     std::ostringstream out;
     for (const seq::Sequence &read : reads) {
@@ -329,6 +332,67 @@ TEST(Shard, MemShardedMatchesMonolithAcrossComponents)
                             smallUnion().reads),
               mappingDigest(monolith, pipeline::ToolProfile::kVgMap,
                             smallUnion().reads));
+}
+
+/** A captured kernel input as text: the subgraph's node sequences and
+ *  edges, then the query. */
+std::string
+traceText(const graph::LocalGraph &subgraph,
+          const std::vector<uint8_t> &query)
+{
+    std::ostringstream out;
+    for (uint32_t n = 0; n < subgraph.nodeCount(); ++n) {
+        for (const uint8_t base : subgraph.nodeSeq(n))
+            out << static_cast<int>(base);
+        out << ':';
+        for (const uint32_t to : subgraph.successors(n))
+            out << to << ',';
+        out << ';';
+    }
+    out << '|';
+    for (const uint8_t base : query)
+        out << static_cast<int>(base);
+    out << '\n';
+    return out.str();
+}
+
+TEST(Shard, GwfaCaptureMatchesMonolith)
+{
+    // Trace capture runs the mapper's own planner, so it reads a shard
+    // set exactly as mapping does and captures the monolith's inputs.
+    const auto manifest =
+        shardInto(smallUnion().graph, "shard_small_capture");
+    const auto sharded = shardContext(
+        manifest.path, pipeline::SeederKind::kMinimizer, 0);
+    const auto monolith = pipeline::MappingContext::Builder()
+                              .fromGraph(smallUnion().graph)
+                              .build();
+    size_t gwfa_traces = 0;
+    auto capture = [&](const pipeline::MappingContext &context) {
+        std::string out;
+        const pipeline::Seq2GraphMapper vgmap(
+            context,
+            pipeline::MapperConfig::forTool(pipeline::ToolProfile::kVgMap));
+        for (const auto &trace :
+             vgmap.captureAlignTraces(smallUnion().reads, SIZE_MAX))
+            out += traceText(trace.subgraph, trace.query);
+        const pipeline::Seq2GraphMapper minigraph(
+            context, pipeline::MapperConfig::forTool(
+                         pipeline::ToolProfile::kMinigraph));
+        const auto gaps =
+            minigraph.captureGwfaTraces(smallUnion().reads, SIZE_MAX);
+        for (const auto &gap : gaps) {
+            out += traceText(gap.subgraph, gap.query);
+            out += std::to_string(gap.startNode) + ' ' +
+                   std::to_string(gap.startOffset) + ' ' +
+                   std::to_string(gap.maxScore) + '\n';
+        }
+        gwfa_traces = gaps.size();
+        return out;
+    };
+    const std::string from_shards = capture(*sharded);
+    EXPECT_GT(gwfa_traces, 0u);
+    EXPECT_EQ(from_shards, capture(*monolith));
 }
 
 /**
