@@ -51,7 +51,9 @@ class PoaGraph
 
     /**
      * Align @p bases to the graph and thread it in (first call just
-     * seeds the backbone).
+     * seeds the backbone). The DP stores only each node's band, in
+     * per-thread buffers reused across calls: O(nodes x band) memory,
+     * O(nodes x (m+1)) with band 0.
      * @return the alignment score (0 for the seeding call).
      */
     int32_t addSequence(std::span<const uint8_t> bases);
@@ -71,7 +73,10 @@ class PoaGraph
 
     uint32_t addNode(uint8_t base);
     void addEdgeWeighted(uint32_t from, uint32_t to);
-    std::vector<uint32_t> topoOrder() const;
+    /** Fill @p order with a topological order (@p indegree is
+     *  scratch). */
+    void topoOrder(std::vector<uint32_t> &order,
+                   std::vector<uint32_t> &indegree) const;
 
     PoaParams params_;
     std::vector<uint8_t> bases_;

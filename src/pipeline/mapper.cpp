@@ -180,11 +180,14 @@ Seq2GraphMapper::planAlignments(const seq::Sequence &read,
                 graph::Handle(a.node, false), query_gap * 2 + 64,
                 &gap.startNode);
             if (best.reverse) {
-                // The aligned strand is the reverse complement: the
-                // gap content is rc(read[b.q .. a.q)).
+                // The aligned strand is the reverse complement, where
+                // anchor a's k-mer starts at forward position a.q + k:
+                // the bridge from a.node/a.nodeOffset reads
+                // rc(read[b.q + k .. a.q + k)).
+                const auto k = static_cast<uint32_t>(config_.k);
                 seq::Sequence tmp(std::vector<uint8_t>(
-                    codes.begin() + b.queryPos,
-                    codes.begin() + a.queryPos));
+                    codes.begin() + b.queryPos + k,
+                    codes.begin() + a.queryPos + k));
                 gap.query = tmp.reverseComplement().codes();
             } else {
                 gap.query.assign(codes.begin() + a.queryPos,

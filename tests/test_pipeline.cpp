@@ -252,7 +252,7 @@ TEST(Mapper, GwfaCaptureIsStrandSymmetric)
 {
     // Forward-strand reads and their reverse complements bridge the
     // same gaps: the reverse chain's gaps are the forward chain's,
-    // read on the other strand.
+    // read on the other strand, from the same graph position.
     const auto pangenome =
         synth::simulatePangenome(synth::mGraphLikeConfig(40000, 206));
     ReadProfile profile = ReadProfile::longRead();
@@ -269,12 +269,22 @@ TEST(Mapper, GwfaCaptureIsStrandSymmetric)
                                                     .size()])
                 .read;
         const Sequence rc = read.reverseComplement();
-        const size_t forward =
-            mapper.captureGwfaTraces({&read, 1}, SIZE_MAX).size();
-        EXPECT_EQ(mapper.captureGwfaTraces({&rc, 1}, SIZE_MAX).size(),
-                  forward)
-            << "read " << r;
-        bridged += forward;
+        const auto forward = mapper.captureGwfaTraces({&read, 1}, SIZE_MAX);
+        const auto reverse = mapper.captureGwfaTraces({&rc, 1}, SIZE_MAX);
+        ASSERT_EQ(reverse.size(), forward.size()) << "read " << r;
+        // Each reverse bridge starts where its forward twin does and
+        // reads the same bases.
+        for (size_t g = 0; g < forward.size(); ++g) {
+            EXPECT_EQ(reverse[g].startNode, forward[g].startNode)
+                << "read " << r << " gap " << g;
+            EXPECT_EQ(reverse[g].startOffset, forward[g].startOffset)
+                << "read " << r << " gap " << g;
+            EXPECT_EQ(reverse[g].query, forward[g].query)
+                << "read " << r << " gap " << g;
+            EXPECT_EQ(reverse[g].maxScore, forward[g].maxScore)
+                << "read " << r << " gap " << g;
+        }
+        bridged += forward.size();
     }
     EXPECT_GT(bridged, 0u);
 }
